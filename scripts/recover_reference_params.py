@@ -9,7 +9,7 @@ rounding.
 
 - rho-zero and p-half: the parameter draws were never printed.  A row
   is recovered (up to permutation, which leaves every column invariant)
-  by least-squares inversion of the exact enumeration map from seeded
+  by least-squares inversion of the exact experiment map from seeded
   random starts.
 - uniform-both: the parameter draws were printed at 4 decimals, so each
   entry is only known to +-5e-5.  The search is bounded to the box of

@@ -27,6 +27,7 @@ from .stats import (
 
 # 2^25 class members is about the largest brute-force average worth waiting for.
 MAX_BRUTE_DELTA = 25
+_LN2 = math.log(2.0)
 
 
 class ClassTooLargeError(RuntimeError):
@@ -94,55 +95,76 @@ def balanced_dxdy(point: GraphPair) -> float:
     return d.d_xy * d.d_xy - delta_stat(point) / (4.0 * n * n)
 
 
+def str_prime_counts(
+    n: int, n11: int, delta: int, convention: float = CONVENTION_VALUE
+) -> float:
+    """str_prime of a count state: n11 both-one components, delta disagreements.
+
+    (dCap - dXY^2 + Delta/(4N^2)) / (dXY(1-dXY) + Delta/(4N^2)), with the
+    convention value at the two degenerate states (delta = 0, n11 in {0, N}).
+    """
+    if delta == 0 and n11 in (0, n):
+        return convention
+    c = n11 / n
+    m = (2 * n11 + delta) / (2 * n)
+    shift = delta / (4.0 * n * n)
+    return (c - m * m + shift) / (m * (1.0 - m) + shift)
+
+
+def str_class_moments(
+    n: int, n11: int, delta: int, convention: float = CONVENTION_VALUE
+) -> tuple[float, float]:
+    """Class means of str and of str^2 over the 2^delta members of a count state.
+
+    The member with i of its delta stars resolved as (0, 1) has
+    dX = dCap + i/N and dY = dCap + (delta - i)/N, and weight
+    C(delta, i)/2^delta.  The weights are carried in log space through
+    the ratio (delta - i)/(i + 1), starting at -delta*ln 2, so they stay
+    finite for any delta, and the sums are divided by the sum of the
+    weights, which cancels the rounding carried in from the tails.
+    """
+    if delta == 0 and n11 in (0, n):
+        return convention, convention * convention
+    c = n11 / n
+    m = (2 * n11 + delta) / (2 * n)
+    log_w = -delta * _LN2
+    total = mean = mean_sq = 0.0
+    for i in range(delta + 1):
+        w = math.exp(log_w)
+        prod = (c + i / n) * (c + (delta - i) / n)
+        s = (c - prod) / (m - prod)
+        total += w
+        mean += w * s
+        mean_sq += w * s * s
+        if i < delta:
+            log_w += math.log((delta - i) / (i + 1))
+    return mean / total, mean_sq / total
+
+
+def _counts(point: GraphPair) -> tuple[int, int, int]:
+    """(N, n11, Delta) of a sample point."""
+    n11 = sum(xi & yi for xi, yi in zip(point.x, point.y))
+    return point.n, n11, delta_stat(point)
+
+
 def modified_alignment_strength(
     point: GraphPair, convention: float = CONVENTION_VALUE
 ) -> float:
     """Quotient of the separately balanced numerator and denominator of str.
 
-    Closed form: (dCap - dXY^2 + Delta/(4N^2)) / (dXY(1-dXY) + Delta/(4N^2)).
+    Evaluated on the point's count state by `str_prime_counts`.
     """
-    if is_degenerate(point):
-        return convention
-    d = densities(point)
-    n = point.n
-    shift = delta_stat(point) / (4.0 * n * n)
-    num = d.d_cap - d.d_xy * d.d_xy + shift
-    den = d.d_xy * (1.0 - d.d_xy) + shift
-    return num / den
+    return str_prime_counts(*_counts(point), convention)
 
 
 def balanced_alignment_strength(
     point: GraphPair, convention: float = CONVENTION_VALUE
 ) -> float:
-    """Balanced alignment strength in O(Delta) arithmetic.
+    """Balanced alignment strength: the class mean of str, in O(Delta) arithmetic.
 
-    Averages str over the class via the binomial-weighted sum over the
-    number i of stars resolved as (0, 1): the class member then has
-    dX = dCap + i/N and dY = dCap + (Delta - i)/N.  Weights
-    C(Delta, i)/2^Delta are folded incrementally through the ratio
-    (Delta - i)/(i + 1), so no binomial coefficient is ever materialized.
+    Evaluated on the point's count state by `str_class_moments`.
     """
-    if is_degenerate(point):
-        return convention
-    d = densities(point)
-    n = point.n
-    delta = delta_stat(point)
-    c = d.d_cap
-    m = d.d_xy
-    # w starts at 2^-delta; representable for delta up to ~1000, far past
-    # MAX_BRUTE_DELTA-scale uses, and the later weights only grow.
-    w = math.ldexp(1.0, -delta)
-    acc = 0.0
-    comp = 0.0  # Kahan compensation
-    for i in range(delta + 1):
-        prod = (c + i / n) * (c + (delta - i) / n)
-        term = w * (c - prod) / (m - prod)
-        yv = term - comp
-        t = acc + yv
-        comp = (t - acc) - yv
-        acc = t
-        w *= (delta - i) / (i + 1)
-    return acc
+    return str_class_moments(*_counts(point), convention)[0]
 
 
 def sigma2_umvue(point: GraphPair) -> float:

@@ -41,7 +41,13 @@ def _load_params_rows(path: str) -> list[ModelParams]:
         obj = obj["rows"]
     if isinstance(obj, dict):
         obj = [obj]
-    return [ModelParams.make(row["p"], row["rho"]) for row in obj]
+    rows = []
+    for index, row in enumerate(obj):
+        for key in ("p", "rho"):
+            if key not in row:
+                raise DomainError(f"params row {index} lacks {key!r}")
+        rows.append(ModelParams.make(row["p"], row["rho"]))
+    return rows
 
 
 def _bits(vec) -> str:

@@ -1,24 +1,26 @@
 """Exact replicated experiments comparing str, balanced str, and modified str.
 
 Each replicate draws model parameters, then computes expectations,
-variances and MSEs of the three alignment-strength statistics exactly,
-by enumerating all 4^N sample points.  The statistic values at every
-sample point do not depend on the parameters, so they are tabulated
-once per N and reused across replicates; only the point-probability
-vector is recomputed.
+variances and MSEs of the three alignment-strength statistics exactly.
+Every statistic of the family depends on a sample point only through
+its count state (n11, Delta): the number of both-one components and of
+disagreements; str itself also depends on how Delta splits into (1, 0)
+and (0, 1), which given Delta is Binomial(Delta, 1/2) at every
+parameter point.  So the class means of str, str^2 and str_prime are
+tabulated once per N on the (N+1) x (N+1) grid of count states, and
+each replicate only builds the law of the states, by a dynamic
+programme over components (Hong 2013, Comput. Stat. Data Anal. 59).
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .balance import str_class_moments, str_prime_counts
 from .model import CapacityError, DomainError, ModelParams, child_rng
 from .stats import CONVENTION_VALUE, param_functionals
 
@@ -53,99 +55,72 @@ class ExperimentConfig:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.replicates < 1:
             raise DomainError("replicates must be >= 1")
-        if self.n_components > 10:
-            raise CapacityError("exact enumeration bound is n_components <= 10")
+
+
+# The table build is O(N^3) Python arithmetic: 0.7-0.9 s at N = 200 (2-core x86).
+MAX_COMPONENTS = 200
 
 
 @dataclass(frozen=True)
-class SampleSpaceTables:
-    """Parameter-independent per-point tables over the 4^n sample space."""
+class CountTables:
+    """Per-count-state values, indexed [n11, Delta]; zero where n11 + Delta > n."""
 
     n: int
-    cell_code: np.ndarray  # (4^n, n) in {0: both zero, 1: disagree, 2: both one}
-    str_vals: np.ndarray
-    strbar_vals: np.ndarray
-    strprime_vals: np.ndarray
+    str_mean: np.ndarray  # class mean of str, which is str_bar
+    str_sq_mean: np.ndarray  # class mean of str^2
+    str_prime: np.ndarray
 
 
 @lru_cache(maxsize=4)
-def sample_space_tables(n: int, convention: float = CONVENTION_VALUE) -> SampleSpaceTables:
-    total = 1 << (2 * n)
-    idx = np.arange(total)
-    # x bits occupy the high n bit positions, y bits the low n.
-    shifts_x = np.arange(2 * n - 1, n - 1, -1)
-    shifts_y = np.arange(n - 1, -1, -1)
-    x = ((idx[:, None] >> shifts_x) & 1).astype(np.int64)
-    y = ((idx[:, None] >> shifts_y) & 1).astype(np.int64)
-
-    delta = (x != y).sum(axis=1)
-    d_x = x.mean(axis=1)
-    d_y = y.mean(axis=1)
-    d_xy = 0.5 * (d_x + d_y)
-    d_cap = (x & y).mean(axis=1)
-    degenerate = ((d_x == 0.0) & (d_y == 0.0)) | ((d_x == 1.0) & (d_y == 1.0))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = d_x * (1.0 - d_y) + (1.0 - d_x) * d_y
-        str_vals = 1.0 - (delta / n) / denom
-        shift = delta / (4.0 * n * n)
-        strprime_vals = (d_cap - d_xy**2 + shift) / (d_xy * (1.0 - d_xy) + shift)
-    str_vals[degenerate] = convention
-    strprime_vals[degenerate] = convention
-
-    # Balanced str: binomial-weighted average over class members, where i
-    # stars resolve as (0, 1) giving dX = dCap + i/n, dY = dCap + (delta-i)/n.
-    comb = np.array(
-        [[math.comb(d, i) if i <= d else 0 for i in range(n + 1)] for d in range(n + 1)],
-        dtype=float,
-    )
-    strbar_vals = np.zeros(total)
-    for i in range(n + 1):
-        active = delta >= i
-        c = d_cap[active]
-        d = delta[active]
-        m = d_xy[active]
-        prod = (c + i / n) * (c + (d - i) / n)
-        w = comb[d, i] / np.exp2(d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = w * (c - prod) / (m - prod)
-        strbar_vals[active] += term
-    strbar_vals[degenerate] = convention
-
-    code = x + y
-    return SampleSpaceTables(
-        n=n,
-        cell_code=code,
-        str_vals=str_vals,
-        strbar_vals=strbar_vals,
-        strprime_vals=strprime_vals,
-    )
+def sample_space_tables(n: int) -> CountTables:
+    """Parameter-independent tables over the count states (n11, Delta) of N = n."""
+    if n > MAX_COMPONENTS:
+        raise CapacityError(
+            f"exact engine bound is n_components <= {MAX_COMPONENTS}, got {n}"
+        )
+    str_mean = np.zeros((n + 1, n + 1))
+    str_sq_mean = np.zeros((n + 1, n + 1))
+    str_prime = np.zeros((n + 1, n + 1))
+    for n11 in range(n + 1):
+        for delta in range(n + 1 - n11):
+            str_mean[n11, delta], str_sq_mean[n11, delta] = str_class_moments(
+                n, n11, delta
+            )
+            str_prime[n11, delta] = str_prime_counts(n, n11, delta)
+    return CountTables(n, str_mean, str_sq_mean, str_prime)
 
 
-def point_probability_vector(params: ModelParams, tables: SampleSpaceTables) -> np.ndarray:
-    """Probabilities of all 4^n sample points, in table order."""
-    cells = params.cells()
-    q = np.array(
-        [[c.q0 for c in cells], [c.qstar for c in cells], [c.q1 for c in cells]]
-    )
-    factors = q[tables.cell_code, np.arange(tables.n)[None, :]]
-    return factors.prod(axis=1)
+def point_probability_vector(params: ModelParams) -> np.ndarray:
+    """Law of the count states: entry [n11, Delta] is P(n11, Delta).
+
+    Built by one update per component with its triple (q1, q0, 2*qstar);
+    the two ordered disagreements are merged, as Delta does not tell them
+    apart.
+    """
+    n = params.n_components
+    law = np.zeros((n + 1, n + 1))
+    law[0, 0] = 1.0
+    for cell in params.cells():
+        step = cell.q0 * law
+        step[1:, :] += cell.q1 * law[:-1, :]
+        step[:, 1:] += 2.0 * cell.qstar * law[:, :-1]
+        law = step
+    return law
 
 
-def exact_experiment_row(params: ModelParams, replicate_index: int = 0) -> ExperimentRow:
-    """All exact table quantities for one parameter draw."""
-    tables = sample_space_tables(params.n_components)
-    probs = point_probability_vector(params, tables)
+def _contract(
+    params: ModelParams, tables: CountTables, law: np.ndarray, replicate_index: int
+) -> ExperimentRow:
+    """Exact moments of the three statistics: the tables contracted against the law."""
     rho_t = param_functionals(params).rho_t
 
-    def moments(values):
-        mean = float(probs @ values)
-        var = max(float(probs @ (values * values)) - mean * mean, 0.0)
-        return mean, var
+    def moments(values, squares):
+        mean = float(np.vdot(law, values))
+        return mean, max(float(np.vdot(law, squares)) - mean * mean, 0.0)
 
-    e_str, var_str = moments(tables.str_vals)
-    _, var_strbar = moments(tables.strbar_vals)
-    e_strprime, var_strprime = moments(tables.strprime_vals)
+    e_str, var_str = moments(tables.str_mean, tables.str_sq_mean)
+    _, var_strbar = moments(tables.str_mean, tables.str_mean**2)
+    e_strprime, var_strprime = moments(tables.str_prime, tables.str_prime**2)
     return ExperimentRow(
         replicate_index=replicate_index,
         params=params,
@@ -160,6 +135,12 @@ def exact_experiment_row(params: ModelParams, replicate_index: int = 0) -> Exper
     )
 
 
+def exact_experiment_row(params: ModelParams, replicate_index: int = 0) -> ExperimentRow:
+    """All exact table quantities for one parameter draw, from the count-state law."""
+    tables = sample_space_tables(params.n_components)
+    return _contract(params, tables, point_probability_vector(params), replicate_index)
+
+
 def draw_params(mode: str, n: int, rng: np.random.Generator) -> ModelParams:
     if mode == "uniform-both":
         return ModelParams.make(rng.random(n), rng.random(n))
@@ -170,15 +151,8 @@ def draw_params(mode: str, n: int, rng: np.random.Generator) -> ModelParams:
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def _max_workers() -> int:
-    env = os.environ.get("CORRBERN_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
-    """All replicate rows, in replicate order regardless of scheduling."""
+    """All replicate rows, in replicate order."""
     if config.params_rows is not None:
         draws = list(config.params_rows)
     else:
@@ -190,16 +164,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
             )
             for r in range(config.replicates)
         ]
-    # Warm the per-N table cache before fanning out.
-    sample_space_tables(draws[0].n_components)
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(
-            pool.map(
-                lambda item: exact_experiment_row(item[1], item[0]),
-                enumerate(draws),
-            )
-        )
-    return rows
+    return [exact_experiment_row(params, r) for r, params in enumerate(draws)]
 
 
 def summarize(rows: list[ExperimentRow]) -> dict:
@@ -285,15 +250,18 @@ def parse_csv_lines(lines: list[str]) -> list[dict]:
 
 
 def exact_report(params: ModelParams) -> dict:
-    """Full-precision JSON-ready exact report for one parameter point."""
+    """Full-precision JSON-ready exact report for one parameter point.
+
+    The count-state law is built once and serves both the moments and
+    the mass on the two degenerate states (no component or every
+    component both one, with no disagreement), reported so the
+    convention's contribution to the str-family expectations is visible.
+    """
+    n = params.n_components
     func = param_functionals(params)
-    row = exact_experiment_row(params)
-    tables = sample_space_tables(params.n_components)
-    probs = point_probability_vector(params, tables)
-    # Probability mass sitting on the two convention points (first and
-    # last in table order), reported so the convention's contribution to
-    # the str-family expectations is visible.
-    degenerate_mass = float(probs[0] + probs[-1])
+    tables = sample_space_tables(n)
+    law = point_probability_vector(params)
+    row = _contract(params, tables, law, 0)
     return {
         "spec_version": SPEC_VERSION,
         "mu": func.mu,
@@ -308,7 +276,7 @@ def exact_report(params: ModelParams) -> dict:
         "Var_strprime": row.var_strprime,
         "MSE_strbar_vs_rhoT": row.mse_strbar,
         "MSE_strprime_vs_rhoT": row.mse_strprime,
-        "degenerate_point_probability": degenerate_mass,
+        "degenerate_point_probability": float(law[0, 0] + law[n, 0]),
         "convention_value": CONVENTION_VALUE,
     }
 

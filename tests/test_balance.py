@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,6 +177,25 @@ class TestBalancedAlignmentStrength:
             assert balanced_alignment_strength(pt) == pytest.approx(
                 balance_brute(STAT_STR, pt), abs=1e-10
             )
+
+    @pytest.mark.parametrize("n11,delta", [(500, 1100), (400, 2200)])
+    def test_large_delta_matches_exact_average(self, n11, delta):
+        # 2^-delta underflows to 0.0 past delta = 1074; the class average
+        # must not.
+        n = 3000
+        ones = delta // 3
+        x = (1,) * n11 + (1,) * ones + (0,) * (delta - ones) + (0,) * (n - n11 - delta)
+        y = (1,) * n11 + (0,) * ones + (1,) * (delta - ones) + (0,) * (n - n11 - delta)
+        exact = Fraction(0)
+        for i in range(delta + 1):
+            dx = Fraction(n11 + i, n)
+            dy = Fraction(n11 + delta - i, n)
+            value = 1 - Fraction(delta, n) / (dx * (1 - dy) + (1 - dx) * dy)
+            exact += math.comb(delta, i) * value
+        exact /= 2**delta
+        assert balanced_alignment_strength(GraphPair(x, y)) == pytest.approx(
+            float(exact), rel=1e-12
+        )
 
 
 class TestCombinators:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from corrbern import experiment
 from corrbern.cli import main, parse_sample_file
 from corrbern.experiment import (
+    MAX_COMPONENTS,
     ExperimentConfig,
     exact_experiment_row,
     parse_csv_lines,
@@ -12,7 +14,7 @@ from corrbern.experiment import (
     rows_to_csv_lines,
     summarize,
 )
-from corrbern.model import DomainError, ModelParams
+from corrbern.model import CapacityError, DomainError, ModelParams
 
 from reference_tables import UNIFORM_BOTH_EXPECTED, UNIFORM_BOTH_PARAMS
 
@@ -227,6 +229,47 @@ class TestExperiment:
         for row, expected in zip(parsed, UNIFORM_BOTH_EXPECTED[:2]):
             assert row["e_str"] == pytest.approx(expected[0], abs=5e-5)
             assert row["var_strprime"] == pytest.approx(expected[5], abs=5e-5)
+
+
+    def test_row_without_rho_rejected(self, tmp_path):
+        rows_json = tmp_path / "rows.json"
+        rows_json.write_text(json.dumps([{"p": [0.5] * 6}]))
+        with pytest.raises(DomainError, match="row 0 lacks 'rho'"):
+            main(["experiment", "--params-file", str(rows_json)])
+
+
+class TestCapacity:
+    """N = 201 is refused before any count-state table or law is built."""
+
+    N = MAX_COMPONENTS + 1
+
+    @pytest.fixture(autouse=True)
+    def no_engine(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("engine reached past the capacity bound")
+
+        monkeypatch.setattr(experiment, "str_class_moments", refuse)
+        monkeypatch.setattr(experiment, "str_prime_counts", refuse)
+        monkeypatch.setattr(experiment, "point_probability_vector", refuse)
+
+    def params(self) -> dict:
+        return {"p": [0.5] * self.N, "rho": [0.5] * self.N}
+
+    def test_exact(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(self.params()))
+        with pytest.raises(CapacityError, match="<= 200"):
+            main(["exact", "--params-file", str(path)])
+
+    def test_experiment_params_file(self, tmp_path):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps([self.params()]))
+        with pytest.raises(CapacityError, match="<= 200"):
+            main(["experiment", "--params-file", str(path)])
+
+    def test_experiment_n(self):
+        with pytest.raises(CapacityError, match="<= 200"):
+            main(["experiment", "--n", str(self.N), "--replicates", "1"])
 
 
 class TestDegenerate:
