@@ -15,14 +15,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .model import DomainError, GraphPair
+from .oracle import iter_points
 from .stats import (
     CONVENTION_VALUE,
-    Tern,
+    count_densities,
+    counts,
     delta_stat,
     densities,
     disagreement_vector,
     alignment_strength,
-    is_degenerate,
 )
 
 # 2^25 class members is about the largest brute-force average worth waiting for.
@@ -76,8 +77,7 @@ def is_balanced(stat: Callable[[GraphPair], float], n: int, tol: float = 1e-12) 
     if n > 8:
         raise ClassTooLargeError(f"exhaustive check limited to n <= 8, got {n}")
     seen: dict[int, float] = {}
-    for bits in itertools.product((0, 1), repeat=2 * n):
-        point = GraphPair(bits[:n], bits[n:])
+    for point in iter_points(n):
         idx = disagreement_vector(point).lex_index()
         value = float(stat(point))
         if idx in seen:
@@ -90,9 +90,9 @@ def is_balanced(stat: Callable[[GraphPair], float], n: int, tol: float = 1e-12) 
 
 def balanced_dxdy(point: GraphPair) -> float:
     """Closed form of the balanced product dX*dY: dXY^2 - Delta/(4N^2)."""
-    d = densities(point)
-    n = point.n
-    return d.d_xy * d.d_xy - delta_stat(point) / (4.0 * n * n)
+    c = counts(point)
+    d = count_densities(c)
+    return d.d_xy * d.d_xy - c.delta / (4.0 * c.n * c.n)
 
 
 def str_prime_counts(
@@ -141,12 +141,6 @@ def str_class_moments(
     return mean / total, mean_sq / total
 
 
-def _counts(point: GraphPair) -> tuple[int, int, int]:
-    """(N, n11, Delta) of a sample point."""
-    n11 = sum(xi & yi for xi, yi in zip(point.x, point.y))
-    return point.n, n11, delta_stat(point)
-
-
 def modified_alignment_strength(
     point: GraphPair, convention: float = CONVENTION_VALUE
 ) -> float:
@@ -154,7 +148,8 @@ def modified_alignment_strength(
 
     Evaluated on the point's count state by `str_prime_counts`.
     """
-    return str_prime_counts(*_counts(point), convention)
+    c = counts(point)
+    return str_prime_counts(c.n, c.n11, c.delta, convention)
 
 
 def balanced_alignment_strength(
@@ -164,7 +159,8 @@ def balanced_alignment_strength(
 
     Evaluated on the point's count state by `str_class_moments`.
     """
-    return str_class_moments(*_counts(point), convention)[0]
+    c = counts(point)
+    return str_class_moments(c.n, c.n11, c.delta, convention)[0]
 
 
 def sigma2_umvue(point: GraphPair) -> float:
@@ -172,10 +168,10 @@ def sigma2_umvue(point: GraphPair) -> float:
 
     Unbiased for sigma^2 of the p vector when all correlations are zero.
     """
-    d = densities(point)
-    n = point.n
-    half = 1.0 / (2.0 * n)
-    return d.d_xy * (1.0 - d.d_xy) - half * (1.0 - half) * delta_stat(point)
+    c = counts(point)
+    d = count_densities(c)
+    half = 1.0 / (2.0 * c.n)
+    return d.d_xy * (1.0 - d.d_xy) - half * (1.0 - half) * c.delta
 
 
 def combine_linear(stat_a: Statistic, stat_b: Statistic, a: float, b: float) -> Statistic:
@@ -202,8 +198,7 @@ def combine_quotient(stat_a: Statistic, stat_b: Statistic, n: int) -> Statistic:
     The zero check is exhaustive over the 4^n sample points, so it is
     only available at desk scale.
     """
-    for bits in itertools.product((0, 1), repeat=2 * n):
-        point = GraphPair(bits[:n], bits[n:])
+    for point in iter_points(n):
         if stat_b(point) == 0.0:
             h = disagreement_vector(point)
             raise DomainError(
@@ -215,6 +210,16 @@ def combine_quotient(stat_a: Statistic, stat_b: Statistic, n: int) -> Statistic:
         name=f"({stat_a.name}) / ({stat_b.name})",
         balanced=stat_a.balanced and stat_b.balanced,
     )
+
+
+def _dxdy(point: GraphPair) -> float:
+    d = densities(point)
+    return d.d_x * d.d_y
+
+
+def _str_denom(point: GraphPair) -> float:
+    d = densities(point)
+    return d.d_x * (1.0 - d.d_y) + (1.0 - d.d_x) * d.d_y
 
 
 # Ready-made statistics used throughout the experiments and tests.
@@ -231,12 +236,6 @@ STAT_DX = Statistic(fn=lambda pt: densities(pt).d_x, name="d_x")
 STAT_DY = Statistic(fn=lambda pt: densities(pt).d_y, name="d_y")
 STAT_DXY = Statistic(fn=lambda pt: densities(pt).d_xy, name="d_xy", balanced=True)
 STAT_DCAP = Statistic(fn=lambda pt: densities(pt).d_cap, name="d_cap", balanced=True)
-STAT_DXDY = Statistic(fn=lambda pt: densities(pt).d_x * densities(pt).d_y, name="dx*dy")
+STAT_DXDY = Statistic(fn=_dxdy, name="dx*dy")
 STAT_BALANCED_DXDY = Statistic(fn=balanced_dxdy, name="balanced dx*dy", balanced=True)
-STAT_STR_DENOM = Statistic(
-    fn=lambda pt: (
-        densities(pt).d_x * (1.0 - densities(pt).d_y)
-        + (1.0 - densities(pt).d_x) * densities(pt).d_y
-    ),
-    name="dX(1-dY)+(1-dX)dY",
-)
+STAT_STR_DENOM = Statistic(fn=_str_denom, name="dX(1-dY)+(1-dX)dY")

@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from . import balance, linsys, oracle
+from . import linsys
+from .balance import str_class_moments, str_prime_counts
 from .experiment import (
     SPEC_VERSION,
     ExperimentConfig,
@@ -24,8 +25,10 @@ from .experiment import (
     summarize,
     summary_to_json,
 )
-from .model import DomainError, GraphPair, ModelParams, child_rng, sample_pair
-from .stats import delta_stat, densities
+from .model import CapacityError, DomainError, GraphPair, ModelParams
+from .model import child_rng, sample_pair
+from .stats import count_densities, counts, delta_stat, str_counts
+from .stats import densities  # noqa: F401  kept: perfbench/layers.py traces cli.densities
 from .verify import run_checks
 
 
@@ -73,19 +76,10 @@ def parse_sample_file(text: str) -> list[tuple[int, GraphPair]]:
         if not line:
             continue
         cells = line.split(",")
-        if len(cells) != 3 or not all(
-            c in "01" for c in cells[1] + cells[2]
-        ) or len(cells[1]) != len(cells[2]):
+        x, y = cells[1:] if len(cells) == 3 else ("", "")
+        if not x or len(x) != len(y) or (x + y).strip("01"):
             raise DomainError(f"malformed sample row at line {lineno}")
-        out.append(
-            (
-                int(cells[0]),
-                GraphPair(
-                    tuple(int(c) for c in cells[1]),
-                    tuple(int(c) for c in cells[2]),
-                ),
-            )
-        )
+        out.append((int(cells[0]), GraphPair(tuple(map(int, x)), tuple(map(int, y)))))
     return out
 
 
@@ -94,23 +88,14 @@ def cmd_estimate(args) -> int:
         samples = parse_sample_file(fh.read())
     lines = ["sample_id,delta,d_x,d_y,d_xy,d_cap,str,str_bar,str_prime"]
     for sample_id, pair in samples:
-        d = densities(pair)
-        cells = [
-            str(sample_id),
-            str(delta_stat(pair)),
-            *(
-                format(v, ".6g")
-                for v in (
-                    d.d_x,
-                    d.d_y,
-                    d.d_xy,
-                    d.d_cap,
-                    balance.STAT_STR(pair),
-                    balance.STAT_STR_BAR(pair),
-                    balance.STAT_STR_PRIME(pair),
-                )
-            ),
-        ]
+        c = counts(pair)
+        values = (
+            *count_densities(c)[:4],
+            str_counts(c),
+            str_class_moments(c.n, c.n11, c.delta)[0],
+            str_prime_counts(c.n, c.n11, c.delta),
+        )
+        cells = [str(sample_id), str(c.delta), *(format(v, ".6g") for v in values)]
         lines.append(",".join(cells))
     _write(args.out, "\n".join(lines) + "\n")
     return 0
@@ -256,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DomainError, CapacityError, json.JSONDecodeError, OSError) as exc:
+        print(f"corrbern: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,16 +14,16 @@ weighted minimum-norm solve.
 
 from __future__ import annotations
 
-import csv
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import CapacityError, DomainError, GraphPair, ModelParams
-from .oracle import class_sum_vector
-from .stats import param_functionals
+from .model import CapacityError, DomainError, GraphPair, ModelParams, point_probability
+from .oracle import class_probabilities, class_sum_vector, iter_points
+from .stats import disagreement_vector, param_functionals
 
 # Maps (coefficients of (1-p)^2, p(1-p), p^2) stacked as columns for the
 # class labels 0, star, 1; unit lower triangular, determinant 1.
@@ -139,8 +139,6 @@ def verify_completeness(n: int, matrix: np.ndarray | None = None) -> bool:
     if matrix is None:
         axes = np.linspace(0.2, 0.8, 3)
         grid = list(itertools.product(axes, repeat=n))
-        from .oracle import class_probabilities  # local import avoids a cycle
-
         v = np.array(
             [
                 class_probabilities(ModelParams.make(p, [0.0] * n))
@@ -210,22 +208,25 @@ def check_no_unbiased_estimator_rhoE(
 ) -> bool:
     """Numerical form of the no-unbiased-rho_E argument.
 
-    Any statistic unbiased for a function that vanishes on the whole
-    independence slice has zero class sums (trivial nullspace of the
-    coefficient map), hence zero expectation everywhere; a parameter
-    point with common correlation 1/2 witnesses the contradiction.
+    An estimator unbiased for rho_E, which vanishes on the independence
+    slice, has zero class sums: the coefficient map has trivial nullspace.
+    Zero class sums give zero expectation at the witness p = 0.4,
+    rho = 1/2, where rho_E = 1/2, because each sample point there has
+    probability P(class)/2^Delta.  That last step is what is checked.
     """
     if n > 5:
         raise CapacityError(f"check limited to n <= 5, got {n}")
     a = kron_power_A(n) if matrix is None else np.asarray(matrix, dtype=float)
     if np.any(np.diag(a) == 0.0):
         return False
-    v = solve_unit_lower(a, np.zeros(a.shape[0]))
-    if np.max(np.abs(v)) != 0.0:
-        return False
     witness = ModelParams.make([0.4] * n, [0.5] * n)
-    common_rho = witness.rho[0]
-    return common_rho != 0.0
+    class_probs = class_probabilities(witness)
+    for point in iter_points(n):
+        h = disagreement_vector(point)
+        share = class_probs[h.lex_index()] / h.class_size()
+        if not math.isclose(point_probability(witness, point), share, rel_tol=1e-12):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +322,3 @@ def degenerate_min_variance(
     m_prime = system.m / root_w[None, :]
     s_prime = np.linalg.pinv(m_prime, rcond=1e-10) @ g
     return s_prime / root_w
-
-
-def export_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    """Write a matrix (or a vector, as one column) to CSV for inspection."""
-    arr = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if arr.shape[0] == 1 and arr.size > 1:
-        arr = arr.T
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in arr:
-            writer.writerow([repr(float(v)) for v in row])

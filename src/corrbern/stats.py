@@ -1,13 +1,14 @@
 """Sample-point statistics and parameter functionals.
 
-Statistics are plain functions GraphPair -> float.  The alignment
-strength family adopts the convention value CONVENTION_VALUE at the
-two degenerate points (both vectors all zeros, or both all ones),
-where its denominator vanishes.
+Statistics are plain functions GraphPair -> float of the point's count
+state (`counts`).  The alignment strength family adopts the convention
+value CONVENTION_VALUE at the two degenerate points (both vectors all
+zeros, or both all ones), where its denominator vanishes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -36,7 +37,7 @@ class DisagreementVector:
 
     @property
     def delta(self) -> int:
-        return sum(1 for t in self.h if t == Tern.STAR)
+        return self.h.count(Tern.STAR)
 
     @property
     def n(self) -> int:
@@ -51,6 +52,24 @@ class DisagreementVector:
 
     def class_size(self) -> int:
         return 1 << self.delta
+
+
+class Counts(NamedTuple):
+    """n components: n11 with both bits one, n10 with only x, n01 with only y."""
+
+    n: int
+    n11: int
+    n10: int
+    n01: int
+
+    @property
+    def delta(self) -> int:
+        return self.n10 + self.n01
+
+    @property
+    def degenerate(self) -> bool:
+        """True at the two all-equal points where the str family needs a convention."""
+        return self.delta == 0 and self.n11 in (0, self.n)
 
 
 class Densities(NamedTuple):
@@ -80,33 +99,41 @@ def disagreement_vector(point: GraphPair) -> DisagreementVector:
     return DisagreementVector(tuple(h))
 
 
+def counts(point: GraphPair) -> Counts:
+    """The count state of `point`: the one place its bits are reduced."""
+    x, y = point.x, point.y
+    n11 = sum(map(operator.and_, x, y))
+    return Counts(len(x), n11, sum(x) - n11, sum(y) - n11)
+
+
+def count_densities(c: Counts) -> Densities:
+    d_x = (c.n11 + c.n10) / c.n
+    d_y = (c.n11 + c.n01) / c.n
+    d_cap = c.n11 / c.n
+    return Densities(d_x, d_y, 0.5 * (d_x + d_y), d_cap, d_x + d_y - d_cap)
+
+
 def densities(point: GraphPair) -> Densities:
-    n = point.n
-    sx = sum(point.x)
-    sy = sum(point.y)
-    scap = sum(xi * yi for xi, yi in zip(point.x, point.y))
-    d_x = sx / n
-    d_y = sy / n
-    d_cap = scap / n
-    return Densities(
-        d_x=d_x,
-        d_y=d_y,
-        d_xy=0.5 * (d_x + d_y),
-        d_cap=d_cap,
-        d_cup=d_x + d_y - d_cap,
-    )
+    return count_densities(counts(point))
 
 
 def delta_stat(point: GraphPair) -> int:
     """Number of components where x and y disagree."""
-    return sum((xi - yi) ** 2 for xi, yi in zip(point.x, point.y))
+    return counts(point).delta
 
 
 def is_degenerate(point: GraphPair) -> bool:
     """True at the two all-equal points where the str family needs a convention."""
-    return all(b == 0 for b in (*point.x, *point.y)) or all(
-        b == 1 for b in (*point.x, *point.y)
-    )
+    return counts(point).degenerate
+
+
+def str_counts(c: Counts, convention: float = CONVENTION_VALUE) -> float:
+    """Alignment strength of a count state; see `alignment_strength`."""
+    if c.degenerate:
+        return convention
+    d = count_densities(c)
+    denom = d.d_x * (1.0 - d.d_y) + (1.0 - d.d_x) * d.d_y
+    return 1.0 - (c.delta / c.n) / denom
 
 
 def alignment_strength(point: GraphPair, convention: float = CONVENTION_VALUE) -> float:
@@ -115,20 +142,17 @@ def alignment_strength(point: GraphPair, convention: float = CONVENTION_VALUE) -
     Equivalently (dCap - dX*dY) / (dXY - dX*dY); both denominators vanish
     exactly at the two degenerate points.
     """
-    if is_degenerate(point):
-        return convention
-    d = densities(point)
-    denom = d.d_x * (1.0 - d.d_y) + (1.0 - d.d_x) * d.d_y
-    return 1.0 - (delta_stat(point) / point.n) / denom
+    return str_counts(counts(point), convention)
 
 
 def alignment_strength_ratio_form(
     point: GraphPair, convention: float = CONVENTION_VALUE
 ) -> float:
     """The covariance-ratio form of alignment strength (same function)."""
-    if is_degenerate(point):
+    c = counts(point)
+    if c.degenerate:
         return convention
-    d = densities(point)
+    d = count_densities(c)
     dxdy = d.d_x * d.d_y
     return (d.d_cap - dxdy) / (d.d_xy - dxdy)
 

@@ -7,12 +7,10 @@ sweep and the larger Kronecker systems.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import balance, linsys, oracle
-from .model import GraphPair, ModelParams
+from .model import ModelParams
 from .stats import (
     alignment_strength,
     alignment_strength_ratio_form,
@@ -27,15 +25,10 @@ from .stats import (
 RHO_H_RESIDUAL_THRESHOLD = 1e-3
 
 
-def _all_points(n: int):
-    for bits in itertools.product((0, 1), repeat=2 * n):
-        yield GraphPair(bits[:n], bits[n:])
-
-
 def check_density_identities(n_max: int) -> tuple[bool, str]:
     worst = 0.0
     for n in range(1, n_max + 1):
-        for pt in _all_points(n):
+        for pt in oracle.iter_points(n):
             d = densities(pt)
             delta = delta_stat(pt)
             worst = max(
@@ -52,7 +45,7 @@ def check_density_identities(n_max: int) -> tuple[bool, str]:
 def check_str_forms_agree(n_max: int) -> tuple[bool, str]:
     worst = 0.0
     for n in range(1, n_max + 1):
-        for pt in _all_points(n):
+        for pt in oracle.iter_points(n):
             if is_degenerate(pt):
                 continue
             worst = max(
@@ -64,16 +57,19 @@ def check_str_forms_agree(n_max: int) -> tuple[bool, str]:
 
 def check_balancing_oracles(n_max: int) -> tuple[bool, str]:
     worst_bar = worst_prime = worst_dxdy = 0.0
-    num = balance.Statistic(
-        fn=lambda pt: densities(pt).d_cap - densities(pt).d_x * densities(pt).d_y,
-        name="num",
-    )
-    den = balance.Statistic(
-        fn=lambda pt: densities(pt).d_xy - densities(pt).d_x * densities(pt).d_y,
-        name="den",
-    )
+
+    def str_num(pt):
+        d = densities(pt)
+        return d.d_cap - d.d_x * d.d_y
+
+    def str_den(pt):
+        d = densities(pt)
+        return d.d_xy - d.d_x * d.d_y
+
+    num = balance.Statistic(fn=str_num, name="num")
+    den = balance.Statistic(fn=str_den, name="den")
     for n in range(1, n_max + 1):
-        for pt in _all_points(n):
+        for pt in oracle.iter_points(n):
             brute_bar = balance.balance_brute(balance.STAT_STR, pt)
             worst_bar = max(
                 worst_bar, abs(balance.balanced_alignment_strength(pt) - brute_bar)
@@ -119,7 +115,7 @@ def check_strbar_negative_control(n: int = 3) -> tuple[bool, str]:
 
     worst = max(
         abs(mutated(pt) - balance.balance_brute(balance.STAT_STR, pt))
-        for pt in _all_points(n)
+        for pt in oracle.iter_points(n)
     )
     return worst > 1e-6, f"mutant deviates by {worst:.2e} (must be > 1e-6)"
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from corrbern import experiment
+from corrbern import balance, cli, experiment, stats
 from corrbern.cli import main, parse_sample_file
 from corrbern.experiment import (
     MAX_COMPONENTS,
@@ -14,13 +14,22 @@ from corrbern.experiment import (
     rows_to_csv_lines,
     summarize,
 )
-from corrbern.model import CapacityError, DomainError, ModelParams
+from corrbern.model import DomainError, ModelParams
 
 from reference_tables import UNIFORM_BOTH_EXPECTED, UNIFORM_BOTH_PARAMS
 
 PARAMS_JSON = json.dumps(
     {"p": UNIFORM_BOTH_PARAMS[0][0], "rho": UNIFORM_BOTH_PARAMS[0][1]}
 )
+
+
+def assert_fails_cleanly(capsys, argv, message):
+    """main exits 2 and prints one `corrbern: error:` line containing `message`."""
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("corrbern: error: ")
+    assert message in lines[0]
 
 
 @pytest.fixture
@@ -99,6 +108,11 @@ class TestParseSampleFile:
         with pytest.raises(DomainError, match="line 2"):
             parse_sample_file(text)
 
+    def test_empty_vectors_rejected(self):
+        text = "sample_id,x_bits,y_bits\n0,,\n"
+        with pytest.raises(DomainError, match="line 2"):
+            parse_sample_file(text)
+
 
 class TestEstimate:
     def test_hand_values(self, tmp_path):
@@ -126,6 +140,22 @@ class TestEstimate:
         out = tmp_path / "e.csv"
         assert main(["estimate", str(sample), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 6
+
+    def test_counts_once_per_pair(self, params_file, tmp_path, monkeypatch):
+        sample = tmp_path / "s.csv"
+        main(["sample", "--params-file", params_file, "--n", "5", "--out", str(sample)])
+        original = stats.counts
+        calls = []
+
+        def counted(point):
+            calls.append(point)
+            return original(point)
+
+        for module in (stats, balance, cli):
+            monkeypatch.setattr(module, "counts", counted)
+        out = tmp_path / "e.csv"
+        assert main(["estimate", str(sample), "--out", str(out)]) == 0
+        assert len(calls) == 5
 
 
 class TestExact:
@@ -231,11 +261,12 @@ class TestExperiment:
             assert row["var_strprime"] == pytest.approx(expected[5], abs=5e-5)
 
 
-    def test_row_without_rho_rejected(self, tmp_path):
+    def test_row_without_rho_rejected(self, tmp_path, capsys):
         rows_json = tmp_path / "rows.json"
         rows_json.write_text(json.dumps([{"p": [0.5] * 6}]))
-        with pytest.raises(DomainError, match="row 0 lacks 'rho'"):
-            main(["experiment", "--params-file", str(rows_json)])
+        assert_fails_cleanly(
+            capsys, ["experiment", "--params-file", str(rows_json)], "row 0 lacks 'rho'"
+        )
 
 
 class TestCapacity:
@@ -255,21 +286,22 @@ class TestCapacity:
     def params(self) -> dict:
         return {"p": [0.5] * self.N, "rho": [0.5] * self.N}
 
-    def test_exact(self, tmp_path):
+    def test_exact(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(self.params()))
-        with pytest.raises(CapacityError, match="<= 200"):
-            main(["exact", "--params-file", str(path)])
+        assert_fails_cleanly(capsys, ["exact", "--params-file", str(path)], "<= 200")
 
-    def test_experiment_params_file(self, tmp_path):
+    def test_experiment_params_file(self, tmp_path, capsys):
         path = tmp_path / "rows.json"
         path.write_text(json.dumps([self.params()]))
-        with pytest.raises(CapacityError, match="<= 200"):
-            main(["experiment", "--params-file", str(path)])
+        assert_fails_cleanly(
+            capsys, ["experiment", "--params-file", str(path)], "<= 200"
+        )
 
-    def test_experiment_n(self):
-        with pytest.raises(CapacityError, match="<= 200"):
-            main(["experiment", "--n", str(self.N), "--replicates", "1"])
+    def test_experiment_n(self, capsys):
+        assert_fails_cleanly(
+            capsys, ["experiment", "--n", str(self.N), "--replicates", "1"], "<= 200"
+        )
 
 
 class TestDegenerate:
@@ -308,8 +340,28 @@ class TestDegenerate:
             )
 
     def test_bad_p_rejected(self, capsys):
-        with pytest.raises(DomainError):
-            main(["degenerate", "--mu", "0.25", "--p-values", "0.6"])
+        assert_fails_cleanly(
+            capsys,
+            ["degenerate", "--mu", "0.25", "--p-values", "0.6"],
+            "p=0.6 outside the open interval",
+        )
+
+
+class TestCleanFailure:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"p": [0.5, 0.5], "rho": [0.5]}', "p has 2 entries but rho has 1"),
+            (None, "No such file or directory"),
+            ('{"p": [0.5,', "Expecting value"),
+        ],
+        ids=["mismatched-lengths", "missing-file", "malformed-json"],
+    )
+    def test_params_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "params.json"
+        if text is not None:
+            path.write_text(text)
+        assert_fails_cleanly(capsys, ["exact", "--params-file", str(path)], message)
 
 
 class TestVerify:

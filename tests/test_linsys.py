@@ -12,6 +12,7 @@ from corrbern.balance import (
     STAT_DY,
     STAT_STR,
 )
+from corrbern import linsys
 from corrbern.linsys import (
     BASE_MATRIX_A,
     DegenerateSystem,
@@ -162,6 +163,16 @@ class TestNonExistenceCertificates:
         bad = KRON2_REFERENCE.copy()
         bad[8, 8] = 0.0
         assert not check_no_unbiased_estimator_rhoE(2, matrix=bad)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rho_e_asymmetric_law_rejected(self, n, monkeypatch):
+        # A law that told (1, 0) from (0, 1) apart would break the step from
+        # zero class sums to zero expectation at correlated parameters.
+        def asymmetric(params, point):
+            return (1.5 if point.x > point.y else 1.0) * point_probability(params, point)
+
+        monkeypatch.setattr(linsys, "point_probability", asymmetric)
+        assert not check_no_unbiased_estimator_rhoE(n)
 
 
 def _qp_oracle(system: DegenerateSystem, g: np.ndarray, p: float) -> np.ndarray:

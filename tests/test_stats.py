@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from corrbern.model import GraphPair, ModelParams
 from corrbern.stats import (
+    Counts,
     Tern,
     alignment_strength,
     alignment_strength_ratio_form,
+    counts,
     delta_stat,
     densities,
     disagreement_vector,
@@ -61,6 +63,32 @@ class TestDisagreementVector:
             ]
         ]
         assert idx == [0, 1, 2, 3, 8]
+
+
+def bit_counts(pt):
+    """(N, n11, n10, n01) straight from the bit definitions."""
+    cells = list(zip(pt.x, pt.y))
+    return (pt.n, cells.count((1, 1)), cells.count((1, 0)), cells.count((0, 1)))
+
+
+class TestCounts:
+    def check(self, pt):
+        c = counts(pt)
+        assert isinstance(c, Counts)
+        assert tuple(c) == bit_counts(pt)
+        assert c.delta == sum(xi != yi for xi, yi in zip(pt.x, pt.y))
+        assert c.degenerate == (len(set(pt.x + pt.y)) == 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_definitions_exhaustive(self, n):
+        for pt in all_points(n):
+            self.check(pt)
+
+    def test_bit_definitions_graph_pair(self):
+        rng = np.random.default_rng(4950)
+        x = rng.random(4950) < 0.3
+        y = np.where(rng.random(4950) < 0.6, x, rng.random(4950) < 0.3)
+        self.check(GraphPair.from_arrays(x, y))
 
 
 class TestDensities:
