@@ -25,9 +25,10 @@ from .experiment import (
     summarize,
     summary_to_json,
 )
-from .model import CapacityError, DomainError, GraphPair, ModelParams
+from .model import CapacityError, DomainError, ModelParams
 from .model import child_rng, sample_pair
-from .stats import count_densities, counts, delta_stat, str_counts
+from .model import GraphPair  # noqa: F401  kept: perfbench/layers.py traces cli.GraphPair
+from .stats import Counts, count_densities, counts_of_bits, delta_stat, str_counts
 from .stats import densities  # noqa: F401  kept: perfbench/layers.py traces cli.densities
 from .verify import run_checks
 
@@ -44,8 +45,12 @@ def _load_params_rows(path: str) -> list[ModelParams]:
         obj = obj["rows"]
     if isinstance(obj, dict):
         obj = [obj]
+    if not isinstance(obj, list):
+        raise DomainError("params file holds neither a row object nor a list of rows")
     rows = []
     for index, row in enumerate(obj):
+        if not isinstance(row, dict):
+            raise DomainError(f"params row {index} is not an object")
         for key in ("p", "rho"):
             if key not in row:
                 raise DomainError(f"params row {index} lacks {key!r}")
@@ -53,8 +58,12 @@ def _load_params_rows(path: str) -> list[ModelParams]:
     return rows
 
 
-def _bits(vec) -> str:
-    return "".join(str(int(b)) for b in vec)
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bits(vec: tuple[int, ...]) -> str:
+    """A tuple of 0/1 ints as a string of '0'/'1'."""
+    return bytes(vec).translate(_BIT_CHARS).decode("ascii")
 
 
 def cmd_sample(args) -> int:
@@ -67,7 +76,12 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def parse_sample_file(text: str) -> list[tuple[int, GraphPair]]:
+def parse_sample_file(text: str) -> list[tuple[int, Counts]]:
+    """(sample id, count state) per row of a sample file.
+
+    A malformed row raises DomainError naming its line.  Rows are checked with C-level string operations before `counts_of_bits`
+    reads them: `int(s, 2)` alone would accept '0b1', '1_0', ' 1' and '+1'.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != "sample_id,x_bits,y_bits":
         raise DomainError("missing or malformed sample file header")
@@ -79,7 +93,11 @@ def parse_sample_file(text: str) -> list[tuple[int, GraphPair]]:
         x, y = cells[1:] if len(cells) == 3 else ("", "")
         if not x or len(x) != len(y) or (x + y).strip("01"):
             raise DomainError(f"malformed sample row at line {lineno}")
-        out.append((int(cells[0]), GraphPair(tuple(map(int, x)), tuple(map(int, y)))))
+        try:
+            sample_id = int(cells[0])
+        except ValueError:
+            raise DomainError(f"malformed sample id at line {lineno}") from None
+        out.append((sample_id, counts_of_bits(x, y)))
     return out
 
 
@@ -87,8 +105,7 @@ def cmd_estimate(args) -> int:
     with open(args.sample_file) as fh:
         samples = parse_sample_file(fh.read())
     lines = ["sample_id,delta,d_x,d_y,d_xy,d_cap,str,str_bar,str_prime"]
-    for sample_id, pair in samples:
-        c = counts(pair)
+    for sample_id, c in samples:
         values = (
             *count_densities(c)[:4],
             str_counts(c),

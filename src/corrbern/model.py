@@ -81,7 +81,7 @@ class ModelParams:
 
     @staticmethod
     def make(p, rho) -> "ModelParams":
-        return ModelParams(tuple(float(v) for v in p), tuple(float(v) for v in rho))
+        return ModelParams(_floats("p", p), _floats("rho", rho))
 
     def cells(self) -> list[EdgeCellProbs]:
         return [cell_probs(pi, ri) for pi, ri in zip(self.p, self.rho)]
@@ -95,6 +95,13 @@ class ModelParams:
         if not isinstance(obj, dict) or "p" not in obj or "rho" not in obj:
             raise DomainError('expected a JSON object {"p": [...], "rho": [...]}')
         return ModelParams.make(obj["p"], obj["rho"])
+
+
+def _floats(name: str, values) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a list of numbers") from None
 
 
 def cell_probs(p: float, rho: float) -> EdgeCellProbs:

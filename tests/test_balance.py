@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from corrbern import balance
 from corrbern.balance import (
@@ -196,6 +198,63 @@ class TestBalancedAlignmentStrength:
         assert balanced_alignment_strength(GraphPair(x, y)) == pytest.approx(
             float(exact), rel=1e-12
         )
+
+
+def exact_class_moments(n, n11, delta):
+    """Class means of str and str^2 in integer arithmetic, to 2^-90 relative.
+
+    The member with i stars resolved as (1, 0) has str = 1 - delta*N/D_i,
+    where D_i = N^2 * (dX(1-dY) + (1-dX)dY) is an integer.  C(delta, i)*2^128
+    is carried exactly by the ratio (delta - i)/(i + 1), each quotient by D_i
+    is floored once, and the two sums are rounded to float once, as Fractions.
+    """
+    t1 = t2 = 0
+    comb = 1 << 128
+    for i in range(delta + 1):
+        sx, sy = n11 + i, n11 + delta - i
+        d_i = sx * (n - sy) + (n - sx) * sy
+        t1 += comb // d_i
+        t2 += comb // (d_i * d_i)
+        comb = comb * (delta - i) // (i + 1)
+    k = delta * n
+    s1 = Fraction(t1, 1 << (delta + 128))
+    s2 = Fraction(t2, 1 << (delta + 128))
+    return float(1 - k * s1), float(1 - 2 * k * s1 + k * k * s2)
+
+
+@st.composite
+def count_states(draw):
+    n = draw(st.integers(1, 5000))
+    delta = draw(st.integers(0, n))
+    n11 = draw(st.integers(0, n - delta))
+    return n, n11, delta
+
+
+class TestStrBarWindow:
+    """str_class_moments sums only |i - delta/2| <= 5*sqrt(delta) + 10."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(count_states())
+    @example((4950, 300, 2000))
+    @example((5000, 0, 5000))
+    def test_matches_exact_class_average(self, state):
+        n, n11, delta = state
+        assume(delta > 0 or 0 < n11 < n)  # degenerate states take the convention
+        mean, mean_sq = balance.str_class_moments(n, n11, delta)
+        want_mean, want_sq = exact_class_moments(n, n11, delta)
+        # Rounding is absolute, a few ulps of the class range 2N/delta of
+        # str, so near a zero of the mean the relative test gets that floor.
+        span = 2 * n / delta if delta else 1.0
+        assert mean == pytest.approx(want_mean, rel=1e-12, abs=1e-14 * span)
+        assert mean_sq == pytest.approx(want_sq, rel=1e-12, abs=1e-14 * span**2)
+
+    def test_narrow_window_is_caught(self, monkeypatch):
+        # Half-width 2*sqrt(delta) drops a weight of about 2*exp(-8).
+        want = exact_class_moments(4950, 300, 2000)[0]
+        monkeypatch.setattr(balance, "_WINDOW_SDS", 2.0)
+        monkeypatch.setattr(balance, "_WINDOW_PAD", 0.0)
+        got = balance.str_class_moments(4950, 300, 2000)[0]
+        assert abs(got - want) / abs(want) > 1e-10
 
 
 class TestCombinators:

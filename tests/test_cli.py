@@ -14,7 +14,7 @@ from corrbern.experiment import (
     rows_to_csv_lines,
     summarize,
 )
-from corrbern.model import DomainError, ModelParams
+from corrbern.model import DomainError, ModelParams, child_rng, sample_pair
 
 from reference_tables import UNIFORM_BOTH_EXPECTED, UNIFORM_BOTH_PARAMS
 
@@ -92,6 +92,15 @@ class TestSample:
         assert [i for i, _ in parsed] == list(range(7))
         assert all(pt.n == 6 for _, pt in parsed)
 
+    def test_bits_match_join_of_ints(self):
+        params = ModelParams.from_json(PARAMS_JSON)
+        vectors = [(), (0,), (1,), (1, 0, 0, 1, 1)]
+        vectors += [sample_pair(params, child_rng(3, i)).y for i in range(4)]
+        rng = np.random.default_rng(4950)
+        vectors.append(tuple(int(b) for b in rng.random(4950) < 0.3))
+        for vec in vectors:
+            assert cli._bits(vec) == "".join(str(int(b)) for b in vec)
+
 
 class TestParseSampleFile:
     def test_malformed_row_names_line(self):
@@ -110,6 +119,17 @@ class TestParseSampleFile:
 
     def test_empty_vectors_rejected(self):
         text = "sample_id,x_bits,y_bits\n0,,\n"
+        with pytest.raises(DomainError, match="line 2"):
+            parse_sample_file(text)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [("0b1", "011"), ("1_0", "101"), (" 1", "01"), ("+1", "01"), ("\uff11", "1")],
+        ids=["prefix", "underscore", "space", "sign", "full-width"],
+    )
+    def test_forms_int_accepts_rejected(self, x, y):
+        # int(s, 2) accepts each of these; the row check must not.
+        text = f"sample_id,x_bits,y_bits\n0,{x},{y}\n"
         with pytest.raises(DomainError, match="line 2"):
             parse_sample_file(text)
 
@@ -144,18 +164,21 @@ class TestEstimate:
     def test_counts_once_per_pair(self, params_file, tmp_path, monkeypatch):
         sample = tmp_path / "s.csv"
         main(["sample", "--params-file", params_file, "--n", "5", "--out", str(sample)])
-        original = stats.counts
+        original = stats.counts_of_bits
         calls = []
+        point_calls = []
 
-        def counted(point):
-            calls.append(point)
-            return original(point)
+        def counted(x, y):
+            calls.append((x, y))
+            return original(x, y)
 
-        for module in (stats, balance, cli):
-            monkeypatch.setattr(module, "counts", counted)
+        monkeypatch.setattr(cli, "counts_of_bits", counted)
+        for module in (stats, balance):
+            monkeypatch.setattr(module, "counts", point_calls.append)
         out = tmp_path / "e.csv"
         assert main(["estimate", str(sample), "--out", str(out)]) == 0
         assert len(calls) == 5
+        assert point_calls == []
 
 
 class TestExact:
@@ -354,14 +377,30 @@ class TestCleanFailure:
             ('{"p": [0.5, 0.5], "rho": [0.5]}', "p has 2 entries but rho has 1"),
             (None, "No such file or directory"),
             ('{"p": [0.5,', "Expecting value"),
+            ('{"p": ["x"], "rho": [0.5]}', "p must be a list of numbers"),
         ],
-        ids=["mismatched-lengths", "missing-file", "malformed-json"],
+        ids=["mismatched-lengths", "missing-file", "malformed-json", "non-numeric-entry"],
     )
     def test_params_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "params.json"
         if text is not None:
             path.write_text(text)
         assert_fails_cleanly(capsys, ["exact", "--params-file", str(path)], message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1, 2]", "row 0 is not an object"), ("5", "neither a row object nor a list")],
+        ids=["rows-not-objects", "not-a-list"],
+    )
+    def test_rows_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "rows.json"
+        path.write_text(text)
+        assert_fails_cleanly(capsys, ["experiment", "--params-file", str(path)], message)
+
+    def test_non_integer_sample_id(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("sample_id,x_bits,y_bits\na,10,10\n")
+        assert_fails_cleanly(capsys, ["estimate", str(path)], "sample id at line 2")
 
 
 class TestVerify:

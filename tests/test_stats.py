@@ -12,6 +12,7 @@ from corrbern.stats import (
     alignment_strength,
     alignment_strength_ratio_form,
     counts,
+    counts_of_bits,
     delta_stat,
     densities,
     disagreement_vector,
@@ -85,6 +86,30 @@ class TestCounts:
             self.check(pt)
 
     def test_bit_definitions_graph_pair(self):
+        rng = np.random.default_rng(4950)
+        x = rng.random(4950) < 0.3
+        y = np.where(rng.random(4950) < 0.6, x, rng.random(4950) < 0.3)
+        self.check(GraphPair.from_arrays(x, y))
+
+
+def bit_string(bits):
+    return "".join(str(b) for b in bits)
+
+
+class TestCountsOfBits:
+    """The string reducer gives the same count state as `counts`."""
+
+    def check(self, pt):
+        c = counts_of_bits(bit_string(pt.x), bit_string(pt.y))
+        assert isinstance(c, Counts)
+        assert c == counts(pt)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_counts_exhaustive(self, n):
+        for pt in all_points(n):
+            self.check(pt)
+
+    def test_matches_counts_graph_pair(self):
         rng = np.random.default_rng(4950)
         x = rng.random(4950) < 0.3
         y = np.where(rng.random(4950) < 0.6, x, rng.random(4950) < 0.3)
