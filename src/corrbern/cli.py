@@ -260,7 +260,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, CapacityError, json.JSONDecodeError, OSError) as exc:
+    except (
+        DomainError,
+        CapacityError,
+        json.JSONDecodeError,
+        UnicodeDecodeError,
+        OSError,
+    ) as exc:
         print(f"corrbern: error: {exc}", file=sys.stderr)
         return 2
 

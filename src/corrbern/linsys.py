@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import CapacityError, DomainError, GraphPair, ModelParams, point_probability
-from .oracle import class_probabilities, class_sum_vector, iter_points
+from .oracle import class_probabilities, class_sum_vector, iter_points, kron_vectors
 from .stats import disagreement_vector, param_functionals
 
 # Maps (coefficients of (1-p)^2, p(1-p), p^2) stacked as columns for the
@@ -59,10 +59,7 @@ def kron_power_A(n: int) -> np.ndarray:
 
 def monomial_vector(p: Sequence[float]) -> np.ndarray:
     """All 3^n monomials p_1^k1 ... p_n^kn, exponents lexicographic."""
-    vec = np.ones(1)
-    for pi in p:
-        vec = np.kron(vec, np.array([1.0, pi, pi * pi]))
-    return vec
+    return kron_vectors(np.array([1.0, pi, pi * pi]) for pi in p)
 
 
 def expectation_polynomial(stat: Callable[[GraphPair], float], n: int) -> np.ndarray:

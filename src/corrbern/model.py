@@ -43,6 +43,13 @@ class GraphPair:
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise DomainError(f"length mismatch: {len(self.x)} vs {len(self.y)}")
+        try:
+            if {*self.x, *self.y} <= _BITS:
+                return
+        except TypeError:  # an unhashable entry such as [1]
+            pass
+        # The set test is the fast path, not the rule: an entry that equals
+        # 0 or 1 under another hash, or no hash, is judged here as before.
         for bit in (*self.x, *self.y):
             if bit not in (0, 1):
                 raise DomainError(f"non-binary component {bit!r}")
@@ -53,7 +60,17 @@ class GraphPair:
 
     @staticmethod
     def from_arrays(x, y) -> "GraphPair":
-        return GraphPair(tuple(int(b) for b in x), tuple(int(b) for b in y))
+        return GraphPair(_int_tuple(x), _int_tuple(y))
+
+
+_BITS = frozenset((0, 1))
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    """int() of each entry; an ndarray is first turned into Python scalars in C."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return tuple(map(int, values))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CapacityError, GraphPair, ModelParams, point_probability
+from .model import CapacityError, GraphPair, ModelParams
 from .stats import Tern, disagreement_vector
 
 MAX_EXACT_N = 10  # 4^10 ~ 1e6 sample points
@@ -41,6 +41,19 @@ def class_representative(h: tuple[int, ...]) -> GraphPair:
     return GraphPair(x, y)
 
 
+def kron_vectors(factors) -> np.ndarray:
+    """Kronecker product of 1-D vectors, leftmost factor most significant.
+
+    Each step is np.multiply.outer(...).ravel(), which forms the same
+    products as np.kron in the same order, bit for bit, at a fraction of
+    its call overhead.
+    """
+    out = np.ones(1)
+    for factor in factors:
+        out = np.multiply.outer(out, factor).ravel()
+    return out
+
+
 def class_probabilities(params: ModelParams) -> np.ndarray:
     """P(H = h) for all 3^N classes, lexicographic in h.
 
@@ -51,10 +64,31 @@ def class_probabilities(params: ModelParams) -> np.ndarray:
     n = params.n_components
     if n > 16:
         raise CapacityError(f"3^{n} classes exceed the supported size (n <= 16)")
-    table = np.ones(1)
-    for cell in params.cells():
-        table = np.kron(table, np.array([cell.q0, 2.0 * cell.qstar, cell.q1]))
-    return table
+    return kron_vectors(
+        np.array([cell.q0, 2.0 * cell.qstar, cell.q1]) for cell in params.cells()
+    )
+
+
+def point_probabilities(params: ModelParams) -> np.ndarray:
+    """P(point) for all 4^N sample points, in `iter_points` order.
+
+    The Kronecker product of the per-component tables
+    [[q0, qstar], [qstar, q1]] (indexed by (x_i, y_i)) has its axes in
+    (x_1, y_1, ..., x_N, y_N) order; they are moved to x-bits-then-y-bits
+    order.  Every entry is the product q(x_1, y_1) * ... * q(x_N, y_N)
+    taken left to right, the same factors in the same order as
+    `model.point_probability`, so the two agree bit for bit.
+    """
+    n = params.n_components
+    if n > MAX_EXACT_N:
+        raise CapacityError(
+            f"4^{n} points exceed the supported size (n <= {MAX_EXACT_N})"
+        )
+    law = kron_vectors(
+        np.array([cell.q0, cell.qstar, cell.qstar, cell.q1]) for cell in params.cells()
+    )
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return law.reshape((2,) * (2 * n)).transpose(order).ravel()
 
 
 def class_sum_vector(stat: Callable[[GraphPair], float], n: int) -> np.ndarray:
@@ -97,12 +131,9 @@ def exact_moments(
         terms_m = probs * values
         terms_s = terms_m * values
     else:
-        rows = [
-            (point_probability(params, point), float(stat(point)))
-            for point in iter_points(n)
-        ]
-        terms_m = [p * v for p, v in rows]
-        terms_s = [p * v * v for p, v in rows]
+        values = np.fromiter(map(stat, iter_points(n)), dtype=float, count=4**n)
+        terms_m = point_probabilities(params) * values
+        terms_s = terms_m * values
     mean = math.fsum(terms_m)
     second = math.fsum(terms_s)
     variance = max(second - mean * mean, 0.0)

@@ -16,6 +16,7 @@ from .stats import (
     alignment_strength_ratio_form,
     delta_stat,
     densities,
+    disagreement_vector,
     is_degenerate,
     param_functionals,
 )
@@ -56,6 +57,12 @@ def check_str_forms_agree(n_max: int) -> tuple[bool, str]:
 
 
 def check_balancing_oracles(n_max: int) -> tuple[bool, str]:
+    """The closed forms against brute class means, at every point of n = 1..n_max.
+
+    A point's brute class mean is its class's entry of
+    `oracle.class_sum_vector` over the class size: one pass over the 4^n
+    points per statistic, in place of a walk over every point's class.
+    """
     worst_bar = worst_prime = worst_dxdy = 0.0
 
     def str_num(pt):
@@ -66,25 +73,23 @@ def check_balancing_oracles(n_max: int) -> tuple[bool, str]:
         d = densities(pt)
         return d.d_xy - d.d_x * d.d_y
 
-    num = balance.Statistic(fn=str_num, name="num")
-    den = balance.Statistic(fn=str_den, name="den")
     for n in range(1, n_max + 1):
+        str_sums, dxdy_sums, num_sums, den_sums = (
+            oracle.class_sum_vector(stat, n)
+            for stat in (balance.STAT_STR, balance.STAT_DXDY, str_num, str_den)
+        )
         for pt in oracle.iter_points(n):
-            brute_bar = balance.balance_brute(balance.STAT_STR, pt)
+            h = disagreement_vector(pt)
+            idx, size = h.lex_index(), h.class_size()
             worst_bar = max(
-                worst_bar, abs(balance.balanced_alignment_strength(pt) - brute_bar)
+                worst_bar,
+                abs(balance.balanced_alignment_strength(pt) - str_sums[idx] / size),
             )
             worst_dxdy = max(
-                worst_dxdy,
-                abs(
-                    balance.balanced_dxdy(pt)
-                    - balance.balance_brute(balance.STAT_DXDY, pt)
-                ),
+                worst_dxdy, abs(balance.balanced_dxdy(pt) - dxdy_sums[idx] / size)
             )
             if not is_degenerate(pt):
-                quotient = balance.balance_brute(num, pt) / balance.balance_brute(
-                    den, pt
-                )
+                quotient = (num_sums[idx] / size) / (den_sums[idx] / size)
                 worst_prime = max(
                     worst_prime,
                     abs(balance.modified_alignment_strength(pt) - quotient),
@@ -122,6 +127,7 @@ def check_strbar_negative_control(n: int = 3) -> tuple[bool, str]:
 
 def check_kron_identity(n_max: int, trials: int = 50) -> tuple[bool, str]:
     rng = np.random.default_rng(11)
+    matrices = {n: linsys.kron_power_A(n) for n in range(1, n_max + 1)}
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))
@@ -130,7 +136,7 @@ def check_kron_identity(n_max: int, trials: int = 50) -> tuple[bool, str]:
         lhs = 1.0
         for hi, pi in zip(h, p):
             lhs *= ((1 - pi) ** 2, pi * (1 - pi), pi * pi)[hi]
-        a = linsys.kron_power_A(n)
+        a = matrices[n]
         col = 0
         for hi in h:
             col = 3 * col + int(hi)

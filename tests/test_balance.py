@@ -30,8 +30,13 @@ from corrbern.balance import (
     sigma2_umvue,
 )
 from corrbern.model import DomainError, GraphPair, ModelParams
-from corrbern.oracle import exact_moments
-from corrbern.stats import densities, is_degenerate, param_functionals
+from corrbern.oracle import class_sum_vector, exact_moments
+from corrbern.stats import (
+    densities,
+    disagreement_vector,
+    is_degenerate,
+    param_functionals,
+)
 
 
 def all_points(n):
@@ -82,6 +87,25 @@ class TestBalanceBrute:
         members = list(iter_class(pt))
         assert len(members) == 4
         assert len(set(members)) == 4
+
+
+def class_means(stat, n):
+    """Brute class mean of `stat` at each of the 4^n points, from the class sums."""
+    sums = class_sum_vector(stat, n)
+    return [
+        sums[h.lex_index()] / h.class_size()
+        for h in map(disagreement_vector, all_points(n))
+    ]
+
+
+class TestBruteClassMeans:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "stat", [STAT_STR, STAT_DXDY, STAT_STR_DENOM], ids=lambda s: s.name
+    )
+    def test_balance_brute_equals_class_sum_mean(self, n, stat):
+        got = [balance_brute(stat, pt) for pt in all_points(n)]
+        np.testing.assert_allclose(got, class_means(stat, n), rtol=1e-13, atol=1e-14)
 
 
 class TestIsBalanced:
@@ -175,10 +199,11 @@ class TestBalancedAlignmentStrength:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute(self, n):
-        for pt in all_points(n):
-            assert balanced_alignment_strength(pt) == pytest.approx(
-                balance_brute(STAT_STR, pt), abs=1e-10
-            )
+        # The brute class mean of str, read from the class sums (see
+        # TestBruteClassMeans for balance_brute itself).
+        got = [balanced_alignment_strength(pt) for pt in all_points(n)]
+        want = class_means(STAT_STR, n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n11,delta", [(500, 1100), (400, 2200)])
     def test_large_delta_matches_exact_average(self, n11, delta):

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import corrbern
 from corrbern import balance, cli, experiment, stats
 from corrbern.cli import main, parse_sample_file
 from corrbern.experiment import (
@@ -401,6 +406,33 @@ class TestCleanFailure:
         path = tmp_path / "s.csv"
         path.write_text("sample_id,x_bits,y_bits\na,10,10\n")
         assert_fails_cleanly(capsys, ["estimate", str(path)], "sample id at line 2")
+
+    def test_undecodable_sample_file(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"sample_id,x_bits,y_bits\n0,1\xff,10\n")
+        assert_fails_cleanly(capsys, ["estimate", str(path)], "can't decode byte 0xff")
+
+    def test_undecodable_params_file(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_bytes(b'{"p": [0.5\xff], "rho": [0.5]}')
+        assert_fails_cleanly(
+            capsys, ["exact", "--params-file", str(path)], "can't decode byte 0xff"
+        )
+
+
+class TestModuleEntryPoint:
+    def test_python_m_corrbern_help(self):
+        src = str(pathlib.Path(corrbern.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "corrbern", "--help"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage: corrbern" in done.stdout
 
 
 class TestVerify:

@@ -163,3 +163,25 @@ class TestGraphPair:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DomainError):
             GraphPair((0, 1), (0,))
+
+    @pytest.mark.parametrize(
+        "bit", [0, 1, True, 1.0, np.int64(1)], ids=["0", "1", "True", "1.0", "int64"]
+    )
+    def test_accepted_bits(self, bit):
+        assert GraphPair((bit, 0), (1, bit)).n == 2
+
+    @pytest.mark.parametrize(
+        "bit", [2, -1, "1", None, [1]], ids=["2", "-1", "str", "None", "list"]
+    )
+    def test_rejected_bits_raise_domain_error(self, bit):
+        with pytest.raises(DomainError, match="non-binary"):
+            GraphPair((0, 1), (1, bit))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float64])
+    def test_from_arrays_converts_each_entry_with_int(self, dtype):
+        rng = np.random.default_rng(3)
+        x = (rng.random(40) < 0.5).astype(dtype)
+        y = (rng.random(40) < 0.5).astype(dtype)
+        pt = GraphPair.from_arrays(x, y)
+        assert pt == GraphPair(tuple(int(b) for b in x), tuple(int(b) for b in y))
+        assert {type(b) for b in pt.x + pt.y} == {int}

@@ -14,6 +14,7 @@ from corrbern.balance import (
     Statistic,
     balance_brute,
 )
+from corrbern.linsys import monomial_vector
 from corrbern.model import CapacityError, GraphPair, ModelParams, point_probability
 from corrbern.oracle import (
     class_probabilities,
@@ -22,6 +23,7 @@ from corrbern.oracle import (
     exact_moments,
     iter_points,
     mse_against,
+    point_probabilities,
 )
 from corrbern.stats import Tern, disagreement_vector, param_functionals
 
@@ -98,6 +100,77 @@ class TestClassProbabilities:
         assert math.fsum(class_probabilities(params)) == pytest.approx(
             1.0, abs=1e-10
         )
+
+
+def edge_params(n, seed):
+    """Random interior parameters with p in {0, 1} and rho = 1 mixed in."""
+    rng = np.random.default_rng(seed)
+    p = rng.random(n)
+    rho = rng.random(n)
+    p[::3] = 0.0
+    p[1::3] = 1.0
+    rho[::2] = 1.0
+    return ModelParams.make(p, rho)
+
+
+class TestPointProbabilities:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("edge", [False, True], ids=["interior", "edge"])
+    def test_equals_point_products(self, n, edge):
+        if edge:
+            params = edge_params(n, 300 + n)
+        else:
+            params = ModelParams.make(*np.random.default_rng(300 + n).random((2, n)))
+        want = np.array([point_probability(params, pt) for pt in iter_points(n)])
+        assert np.array_equal(point_probabilities(params), want)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_swapped_law_misses(self, n):
+        # q0 and q1 swap when p becomes 1 - p; the comparison must see it.
+        rng = np.random.default_rng(400 + n)
+        p, rho = rng.uniform(0.1, 0.9, n), rng.random(n)
+        want = np.array(
+            [point_probability(ModelParams.make(p, rho), pt) for pt in iter_points(n)]
+        )
+        swapped = point_probabilities(ModelParams.make(1.0 - p, rho))
+        assert not np.allclose(swapped, want)
+
+    def test_interleaved_axes_miss(self):
+        # The Kronecker chain before its axes move is in (x1, y1, x2, y2) order.
+        params = ModelParams.make([0.2, 0.7], [0.3, 0.1])
+        want = np.array([point_probability(params, pt) for pt in iter_points(2)])
+        interleaved = kron_chain(
+            [[c.q0, c.qstar, c.qstar, c.q1] for c in params.cells()]
+        )
+        assert np.allclose(np.sort(interleaved), np.sort(want))
+        assert not np.allclose(interleaved, want)
+
+    def test_capacity_guard(self):
+        with pytest.raises(CapacityError):
+            point_probabilities(ModelParams.make([0.5] * 11, [0.0] * 11))
+
+
+def kron_chain(factors):
+    """The Kronecker product of 1-D factors by a plain np.kron chain."""
+    out = np.ones(1)
+    for factor in factors:
+        out = np.kron(out, np.asarray(factor, dtype=float))
+    return out
+
+
+class TestKronVectors:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_class_probabilities_equal_kron_chain(self, n):
+        rng = np.random.default_rng(500 + n)
+        params = ModelParams.make(rng.random(n), rng.random(n))
+        want = kron_chain([[c.q0, 2.0 * c.qstar, c.q1] for c in params.cells()])
+        assert np.array_equal(class_probabilities(params), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_monomial_vector_equals_kron_chain(self, n):
+        p = np.random.default_rng(600 + n).random(n)
+        want = kron_chain([[1.0, pi, pi * pi] for pi in p])
+        assert np.array_equal(monomial_vector(p), want)
 
 
 class TestClassSumVector:
