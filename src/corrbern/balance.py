@@ -28,7 +28,6 @@ from .stats import (
 
 # 2^25 class members is about the largest brute-force average worth waiting for.
 MAX_BRUTE_DELTA = 25
-_LN2 = math.log(2.0)
 # str_class_moments sums |i - delta/2| <= _WINDOW_SDS*sqrt(delta) + _WINDOW_PAD.
 _WINDOW_SDS = 5.0
 _WINDOW_PAD = 10.0
@@ -124,10 +123,18 @@ def str_class_moments(
     C(delta, i)/2^delta.  Only the window |i - delta/2| <= t with
     t = 5*sqrt(delta) + 10, clipped to [0, delta], is summed, so a call
     costs O(sqrt(delta)); for delta <= 137 the window is the whole class.
-    The weights are carried in log space through the ratio
-    (delta - i)/(i + 1), from -delta*ln 2 when the window starts at
-    i = 0 and from 0 otherwise, and the sums are divided by the sum of
-    the weights, so they stay finite for any delta and the start cancels.
+
+    Members i and delta - i have the same product dX*dY, so the same str,
+    and the same weight, and the window [lo, delta - lo] is symmetric:
+    only i < delta/2 is visited, each term counted twice, and the middle
+    term i = delta/2 of an even delta once.  The weights are carried by
+    the linear recurrence w(i + 1) = w(i) * (delta - i)/(i + 1) from
+    w(lo) = 1, and the sums are divided by the sum of the weights, so the
+    start cancels.  They cannot overflow: when lo = 0 (delta <= 137) they
+    peak at C(delta, delta/2) <= C(137, 68) < 2^137, and otherwise at
+    C(delta, delta/2)/C(delta, lo) < e^90 (largest near delta = 140,
+    falling towards e^50 as delta grows).  Starting at 2^-delta instead
+    would underflow to 0 past delta = 1074.
 
     Error bound: by Hoeffding, the weight outside the window is below
     2*exp(-2*t^2/delta) <= 2*exp(-50) < 4e-22.  Every member has
@@ -142,18 +149,27 @@ def str_class_moments(
     m = (2 * n11 + delta) / (2 * n)
     half = _WINDOW_SDS * math.sqrt(delta) + _WINDOW_PAD
     lo = max(0, math.ceil(delta / 2 - half))
-    hi = min(delta, math.floor(delta / 2 + half))
-    log_w = -delta * _LN2 if lo == 0 else 0.0
+    w = 1.0
     total = mean = mean_sq = 0.0
-    for i in range(lo, hi + 1):
-        w = math.exp(log_w)
+    for i in range(lo, (delta + 1) // 2):
         prod = (c + i / n) * (c + (delta - i) / n)
         s = (c - prod) / (m - prod)
+        ws = w * s
         total += w
-        mean += w * s
-        mean_sq += w * s * s
-        if i < delta:
-            log_w += math.log((delta - i) / (i + 1))
+        mean += ws
+        mean_sq += ws * s
+        w *= (delta - i) / (i + 1)
+    total += total
+    mean += mean
+    mean_sq += mean_sq
+    if delta % 2 == 0:  # the middle member, its own mirror image
+        i = delta // 2
+        prod = (c + i / n) * (c + i / n)
+        s = (c - prod) / (m - prod)
+        ws = w * s
+        total += w
+        mean += ws
+        mean_sq += ws * s
     return mean / total, mean_sq / total
 
 

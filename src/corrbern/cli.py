@@ -8,6 +8,7 @@ an experiment uses a child stream derived from (seed, r).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -79,8 +80,11 @@ def cmd_sample(args) -> int:
 def parse_sample_file(text: str) -> list[tuple[int, Counts]]:
     """(sample id, count state) per row of a sample file.
 
-    A malformed row raises DomainError naming its line.  Rows are checked with C-level string operations before `counts_of_bits`
-    reads them: `int(s, 2)` alone would accept '0b1', '1_0', ' 1' and '+1'.
+    A malformed row raises DomainError naming its line.  Rows are checked
+    with C-level byte operations before `counts_of_bits` reads them:
+    `int(s, 2)` alone would accept '0b1', '1_0', ' 1' and '+1'.  The
+    check encodes to ASCII, any other character becoming '?', and deletes
+    every '0' and '1'; a row passes only if nothing is left.
     """
     lines = text.splitlines()
     if not lines or lines[0] != "sample_id,x_bits,y_bits":
@@ -91,7 +95,11 @@ def parse_sample_file(text: str) -> list[tuple[int, Counts]]:
             continue
         cells = line.split(",")
         x, y = cells[1:] if len(cells) == 3 else ("", "")
-        if not x or len(x) != len(y) or (x + y).strip("01"):
+        if (
+            not x
+            or len(x) != len(y)
+            or (x + y).encode("ascii", "replace").translate(None, b"01")
+        ):
             raise DomainError(f"malformed sample row at line {lineno}")
         try:
             sample_id = int(cells[0])
@@ -202,7 +210,9 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="corrbern",
         description="Correlated Bernoulli pair model: sampling, estimators, "

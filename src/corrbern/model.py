@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,13 @@ class ModelParams:
     def make(p, rho) -> "ModelParams":
         return ModelParams(_floats("p", p), _floats("rho", rho))
 
+    @cached_property
+    def _sampling_arrays(self) -> tuple[np.ndarray, ...]:
+        """p and rho as arrays, the mask of p in {0, 1}, and (1 - rho)*p, for `sample_pair`."""
+        p = np.asarray(self.p)
+        rho = np.asarray(self.rho)
+        return p, rho, (p == 0.0) | (p == 1.0), (1.0 - rho) * p
+
     def cells(self) -> list[EdgeCellProbs]:
         return [cell_probs(pi, ri) for pi, ri in zip(self.p, self.rho)]
 
@@ -114,11 +122,20 @@ class ModelParams:
         return ModelParams.make(obj["p"], obj["rho"])
 
 
+# float() also reads these, as digits of a string or as 0/1; none is a number here.
+_NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
+
+
 def _floats(name: str, values) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a list of numbers") from None
+    """`values` as floats; a string, or an entry that is a string or a bool, is refused."""
+    if not isinstance(values, _NOT_NUMBERS):
+        try:
+            values = tuple(values)
+            if not any(isinstance(v, _NOT_NUMBERS) for v in values):
+                return tuple(map(float, values))
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{name} must be a list of numbers")
 
 
 def cell_probs(p: float, rho: float) -> EdgeCellProbs:
@@ -144,10 +161,9 @@ def sample_pair(params: ModelParams, rng: np.random.Generator) -> GraphPair:
     X_i ~ Bernoulli(p_i); given x_i, Y_i ~ Bernoulli(rho_i*x_i + (1-rho_i)*p_i).
     When p_i is 0 or 1 the component is deterministic and rho_i is ignored.
     """
-    p = np.asarray(params.p)
-    rho = np.asarray(params.rho)
+    p, rho, fixed, free = params._sampling_arrays
     x = (rng.random(params.n_components) < p).astype(np.int64)
-    py = np.where((p == 0.0) | (p == 1.0), p, rho * x + (1.0 - rho) * p)
+    py = np.where(fixed, p, rho * x + free)
     y = (rng.random(params.n_components) < py).astype(np.int64)
     return GraphPair.from_arrays(x, y)
 

@@ -109,12 +109,13 @@ def counts(point: GraphPair) -> Counts:
 def counts_of_bits(x: str, y: str) -> Counts:
     """The count state of a pair written as two equal-length strings of '0'/'1'.
 
-    The same reduction as `counts`, done by C-level string and integer
-    operations.  The caller checks the strings first: `int(s, 2)` also
-    accepts '0b1', '1_0', ' 1', '+1' and non-ASCII digits.
+    The same reduction as `counts`, done by C-level integer popcounts.
+    The caller checks the strings first: `int(s, 2)` also accepts '0b1',
+    '1_0', ' 1', '+1' and non-ASCII digits.
     """
-    n11 = (int(x, 2) & int(y, 2)).bit_count()
-    return Counts(len(x), n11, x.count("1") - n11, y.count("1") - n11)
+    bx, by = int(x, 2), int(y, 2)
+    n11 = (bx & by).bit_count()
+    return Counts(len(x), n11, bx.bit_count() - n11, by.bit_count() - n11)
 
 
 def count_densities(c: Counts) -> Densities:

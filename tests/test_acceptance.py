@@ -35,7 +35,7 @@ from corrbern.linsys import (
     verify_completeness,
 )
 from corrbern.model import GraphPair, ModelParams
-from corrbern.oracle import class_probabilities, exact_moments
+from corrbern.oracle import class_probabilities, class_sum_vector, exact_moments
 from corrbern.stats import densities, disagreement_vector, param_functionals
 
 from reference_tables import (
@@ -146,6 +146,9 @@ def test_criterion_2_variance_ordering():
 
 
 def test_criterion_3_oracle_equivalence():
+    # The brute class means come from the class sums of the 4^n points
+    # (oracle.class_sum_vector); tests/test_balance.py ties balance_brute
+    # to the same sums.
     worst_bar = 0.0
     worst_closed = 0.0
     num = Statistic(
@@ -157,23 +160,22 @@ def test_criterion_3_oracle_equivalence():
         name="den",
     )
     for n in range(1, 7):
+        str_sums, dxdy_sums, num_sums, den_sums = (
+            class_sum_vector(stat, n) for stat in (STAT_STR, STAT_DXDY, num, den)
+        )
         for pt in all_points(n):
+            h = disagreement_vector(pt)
+            idx, size = h.lex_index(), h.class_size()
             worst_bar = max(
-                worst_bar,
-                abs(balanced_alignment_strength(pt) - balance_brute(STAT_STR, pt)),
+                worst_bar, abs(balanced_alignment_strength(pt) - str_sums[idx] / size)
             )
             worst_closed = max(
-                worst_closed,
-                abs(balanced_dxdy(pt) - balance_brute(STAT_DXDY, pt)),
+                worst_closed, abs(balanced_dxdy(pt) - dxdy_sums[idx] / size)
             )
-            bden = balance_brute(den, pt)
-            if bden != 0.0:
+            if den_sums[idx] != 0.0:
                 worst_closed = max(
                     worst_closed,
-                    abs(
-                        modified_alignment_strength(pt)
-                        - balance_brute(num, pt) / bden
-                    ),
+                    abs(modified_alignment_strength(pt) - num_sums[idx] / den_sums[idx]),
                 )
     ok = worst_bar <= 1e-10 and worst_closed <= 1e-10
     report(

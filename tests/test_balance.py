@@ -164,10 +164,13 @@ class TestClosedForms:
             - densities(pt).d_x * densities(pt).d_y,
             name="den",
         )
-        for pt in all_points(n):
+        # The brute class means of num and den, read from the class sums.
+        for pt, num_mean, den_mean in zip(
+            all_points(n), class_means(num, n), class_means(den, n)
+        ):
             if is_degenerate(pt):
                 continue
-            expected = balance_brute(num, pt) / balance_brute(den, pt)
+            expected = num_mean / den_mean
             assert modified_alignment_strength(pt) == pytest.approx(
                 expected, abs=1e-12
             )
@@ -262,6 +265,10 @@ class TestStrBarWindow:
     @given(count_states())
     @example((4950, 300, 2000))
     @example((5000, 0, 5000))
+    @example((200, 0, 137))  # the last delta whose window is the whole class
+    @example((200, 0, 138))  # the first whose window drops i = 0 and i = delta
+    @example((10, 2, 5))  # odd delta: no middle member
+    @example((10, 2, 6))  # even delta: the middle member counted once
     def test_matches_exact_class_average(self, state):
         n, n11, delta = state
         assume(delta > 0 or 0 < n11 < n)  # degenerate states take the convention
@@ -272,6 +279,15 @@ class TestStrBarWindow:
         span = 2 * n / delta if delta else 1.0
         assert mean == pytest.approx(want_mean, rel=1e-12, abs=1e-14 * span)
         assert mean_sq == pytest.approx(want_sq, rel=1e-12, abs=1e-14 * span**2)
+
+    def test_million_disagreements_stay_finite(self):
+        # N = Delta = 10^6: the weights, relative to the window's first
+        # member, neither overflow nor underflow.
+        n = delta = 10**6
+        mean, mean_sq = balance.str_class_moments(n, 0, delta)
+        assert math.isfinite(mean) and math.isfinite(mean_sq)
+        assert 1 - 2 * n / delta <= mean <= 1
+        assert mean * mean <= mean_sq
 
     def test_narrow_window_is_caught(self, monkeypatch):
         # Half-width 2*sqrt(delta) drops a weight of about 2*exp(-8).

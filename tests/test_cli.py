@@ -138,6 +138,25 @@ class TestParseSampleFile:
         with pytest.raises(DomainError, match="line 2"):
             parse_sample_file(text)
 
+    @pytest.mark.parametrize(
+        "x", ["12", "1\u00e9", "1\ud800"], ids=["digit-2", "non-ascii", "lone-surrogate"]
+    )
+    def test_non_binary_characters_rejected(self, x):
+        text = f"sample_id,x_bits,y_bits\n0,11,11\n1,{x},11\n"
+        with pytest.raises(DomainError, match="line 3"):
+            parse_sample_file(text)
+
+    def test_only_zeros_and_ones_pass(self):
+        # Of the ASCII characters, in either vector, only '0' and '1' pass.
+        for ch in map(chr, range(128)):
+            for x, y in ((f"1{ch}", "11"), ("11", f"{ch}0")):
+                text = f"sample_id,x_bits,y_bits\n0,{x},{y}\n"
+                if ch in "01":
+                    assert len(parse_sample_file(text)) == 1
+                else:
+                    with pytest.raises(DomainError, match="line 2"):
+                        parse_sample_file(text)
+
 
 class TestEstimate:
     def test_hand_values(self, tmp_path):
@@ -392,6 +411,26 @@ class TestCleanFailure:
             path.write_text(text)
         assert_fails_cleanly(capsys, ["exact", "--params-file", str(path)], message)
 
+    # float() reads each of these: "01" as p = (0, 1), "0.5" as 0.5, true as 1.0.
+    NOT_NUMBER_LISTS = [
+        ({"p": "01", "rho": "10"}, "p must be a list of numbers"),
+        ({"p": ["0.5"], "rho": [0.5]}, "p must be a list of numbers"),
+        ({"p": [0.5], "rho": [True]}, "rho must be a list of numbers"),
+    ]
+    NOT_NUMBER_IDS = ["string-container", "string-entry", "bool-entry"]
+
+    @pytest.mark.parametrize("row, message", NOT_NUMBER_LISTS, ids=NOT_NUMBER_IDS)
+    def test_params_not_numbers_exact(self, tmp_path, capsys, row, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(row))
+        assert_fails_cleanly(capsys, ["exact", "--params-file", str(path)], message)
+
+    @pytest.mark.parametrize("row, message", NOT_NUMBER_LISTS, ids=NOT_NUMBER_IDS)
+    def test_params_not_numbers_experiment(self, tmp_path, capsys, row, message):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps([{"p": [0.5], "rho": [0.5]}, row]))
+        assert_fails_cleanly(capsys, ["experiment", "--params-file", str(path)], message)
+
     @pytest.mark.parametrize(
         "text, message",
         [("[1, 2]", "row 0 is not an object"), ("5", "neither a row object nor a list")],
@@ -418,6 +457,38 @@ class TestCleanFailure:
         assert_fails_cleanly(
             capsys, ["exact", "--params-file", str(path)], "can't decode byte 0xff"
         )
+
+
+class TestParserReuse:
+    """main builds its parser once per process; each call parses afresh."""
+
+    def run(self, argv, capsys) -> tuple:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_calls_in_one_process_match_separate_calls(
+        self, params_file, tmp_path, capsys
+    ):
+        sample = tmp_path / "s.csv"
+        sample.write_text("sample_id,x_bits,y_bits\n0,10,11\n1,0110,0101\n")
+        argvs = [
+            ["estimate", str(sample)],
+            ["exact", "--params-file", params_file],
+            ["exact", "--no-such-option"],
+            ["exact", "--params-file", params_file],
+        ]
+        together = [self.run(argv, capsys) for argv in argvs]
+        separate = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            separate.append(self.run(argv, capsys))
+        assert [rc for rc, _, _ in together] == [0, 0, 2, 0]
+        assert together == separate
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestModuleEntryPoint:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrbern.cli import main
 from corrbern.model import (
     DomainError,
     GraphPair,
@@ -74,6 +77,32 @@ class TestModelParams:
             ModelParams.from_json('{"p": [0.5]}')
         with pytest.raises(DomainError):
             ModelParams.from_json('{"p": [2.0], "rho": [0.0]}')
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0, 0.5, 1],
+            (0, 0.5, 1),
+            np.array([0.0, 0.5, 1.0]),
+            np.array([0, 0, 1]),
+            [np.float32(0.5), np.float64(0.25), np.int64(1)],
+        ],
+        ids=["list", "tuple", "float-array", "int-array", "numpy-scalars"],
+    )
+    def test_numbers_accepted(self, values):
+        params = ModelParams.make(values, values)
+        assert params.p == tuple(float(v) for v in values)
+        assert all(type(v) is float for v in params.p + params.rho)
+
+    @pytest.mark.parametrize(
+        "values",
+        ["01", b"01", ["0.5"], [b"1"], [True], [0.5, False], np.array([True])],
+        ids=["str", "bytes", "str-entry", "bytes-entry", "bool", "bool-after-float", "bool-array"],
+    )
+    def test_strings_and_bools_rejected(self, values):
+        # float() would read each of these as numbers.
+        with pytest.raises(DomainError, match="p must be a list of numbers"):
+            ModelParams.make(values, [0.5] * len(values))
 
 
 class TestPointProbability:
@@ -147,6 +176,26 @@ class TestSampler:
         se = math.sqrt(0.25 * 0.75 / draws)
         for count in counts.values():
             assert abs(count / draws - 0.25) <= 3 * se
+
+    def test_sample_output_pinned(self, tmp_path, capsys):
+        # `corrbern sample` at N = 4950, with p and rho both hitting 0 and 1:
+        # the SHA-256 of its output, as first released.
+        n = 4950
+        path = tmp_path / "params.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "p": [(i % 97) / 96 for i in range(n)],
+                    "rho": [(i % 89) / 88 for i in range(n)],
+                }
+            )
+        )
+        argv = ["sample", "--params-file", str(path), "--n", "4", "--seed", "7"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == (
+            "7000c2c99c1a7deb6bb8f8c1156bd56b4b0397920d1060a7dd0fd674429e899f"
+        )
 
     def test_child_rng_is_order_independent(self):
         params = ModelParams.make([0.5] * 8, [0.2] * 8)
